@@ -11,6 +11,16 @@ the hot path of the whole reproduction (every main *and* checker instruction
 goes through it).  Stopping instructions (syscall, brk, nondet, fault, halt)
 do **not** retire; the kernel retires them when it completes them, exactly
 like a trapping instruction on real hardware.
+
+Data accesses go through a software TLB that lives for one ``run`` call:
+one dict maps a virtual page number to its frame's bytes for reads, a
+second one for writes.  A miss takes the address space's own slow path
+(``pte_for_read`` / ``pte_for_write``), which owns page faults,
+protection, copy-on-write, soft-dirty marking and frame-pool charging; a
+page enters the write TLB only after that path has resolved a store to it.
+Nothing else can change the page table while ``run`` executes, except the
+frame pool's emergency reclaim inside a COW copy, so both dicts are
+flushed whenever a store copied a frame.
 """
 
 from __future__ import annotations
@@ -23,7 +33,35 @@ from repro.mem.address_space import PageFault
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _HUGE = 1 << 62
+
+_WORD = struct.Struct("<q")
+_UWORD = struct.Struct("<Q")
+_DOUBLE = struct.Struct("<d")
+
+
+def _read_miss(mem, address: int, rtlb: dict) -> bytearray:
+    """Fill the read TLB for ``address`` (or raise its ``PageFault``)."""
+    pte, _ = mem.pte_for_read(address)
+    data = rtlb[address // mem.page_size] = pte.frame.data
+    return data
+
+
+def _write_miss(mem, address: int, rtlb: dict, wtlb: dict) -> bytearray:
+    """Resolve a store through the slow path and fill both TLBs.
+
+    A COW copy may have run the frame pool's emergency reclaim, which can
+    shed or evict other processes, so a copy flushes every cached page.
+    """
+    cow_faults = mem.cow_faults
+    pte, _ = mem.pte_for_write(address)
+    if mem.cow_faults != cow_faults:
+        rtlb.clear()
+        wtlb.clear()
+    vpn = address // mem.page_size
+    data = rtlb[vpn] = wtlb[vpn] = pte.frame.data
+    return data
 
 
 def run(proc, budget: int) -> Stop:
@@ -57,20 +95,26 @@ def run(proc, budget: int) -> Stop:
     cpu.bp_skip_pc = None
     trap_nondet = cpu.trap_nondet
 
+    page_size = mem.page_size
+    fp_last = page_size - 8
+    rtlb = {}
+    wtlb = {}
+    rget = rtlb.get
+    wget = wtlb.get
+    unpack_word = _WORD.unpack_from
+    pack_word = _UWORD.pack_into
+    unpack_double = _DOUBLE.unpack_from
+    pack_double = _DOUBLE.pack_into
+
+    # The counted instruction number is ``base + executed``, so the
+    # budget and both counter-overflow points fold into one bound on
+    # ``executed``; the stop reason is decided after the loop.
+    base = ir + overcount
+    limit = min(budget, deliver_at - base, instr_ovf_at - base)
     executed = 0
     stop = None
 
-    while executed < budget:
-        counted = ir + overcount
-        if counted >= deliver_at:
-            deliver_at = _HUGE
-            branch_target = _HUGE
-            stop = Stop(StopReason.COUNTER_OVERFLOW, executed)
-            break
-        if counted >= instr_ovf_at:
-            instr_ovf_at = _HUGE
-            stop = Stop(StopReason.INSTR_OVERFLOW, executed)
-            break
+    while executed < limit:
         if bps and pc in bps and pc != skip_pc:
             stop = Stop(StopReason.BREAKPOINT, executed)
             break
@@ -166,13 +210,30 @@ def run(proc, budget: int) -> Stop:
             elif op <= 29:  # memory
                 address = regs[instr.b] + instr.imm
                 if op == 26:       # LD
-                    regs[instr.a] = mem.load_word(address)
+                    if address % 8:
+                        raise PageFault(address, "misaligned-read")
+                    data = rget(address // page_size)
+                    if data is None:
+                        data = _read_miss(mem, address, rtlb)
+                    regs[instr.a] = unpack_word(data, address % page_size)[0]
                 elif op == 27:     # ST
-                    mem.store_word(address, regs[instr.a])
+                    if address % 8:
+                        raise PageFault(address, "misaligned-write")
+                    data = wget(address // page_size)
+                    if data is None:
+                        data = _write_miss(mem, address, rtlb, wtlb)
+                    pack_word(data, address % page_size,
+                              regs[instr.a] & _MASK64)
                 elif op == 28:     # LDB
-                    regs[instr.a] = mem.load_byte(address)
+                    data = rget(address // page_size)
+                    if data is None:
+                        data = _read_miss(mem, address, rtlb)
+                    regs[instr.a] = data[address % page_size]
                 else:              # STB
-                    mem.store_byte(address, regs[instr.a])
+                    data = wget(address // page_size)
+                    if data is None:
+                        data = _write_miss(mem, address, rtlb, wtlb)
+                    data[address % page_size] = regs[instr.a] & 0xFF
                 mc += 1
                 pc += 4
             elif op <= 38:  # control flow
@@ -202,7 +263,9 @@ def run(proc, budget: int) -> Stop:
                 bc += 1
                 if bc >= branch_target:
                     branch_target = _HUGE
-                    deliver_at = ir + overcount + 1 + proc.skid_draw()
+                    deliver_at = base + executed + 1 + proc.skid_draw()
+                    if deliver_at - base < limit:
+                        limit = deliver_at - base
             elif op <= 51:  # floating point
                 if op == 39:
                     fregs[instr.a] = fregs[instr.b] + fregs[instr.c]
@@ -219,12 +282,31 @@ def run(proc, budget: int) -> Stop:
                     fregs[instr.a] = fregs[instr.b] / divisor
                 elif op == 43:  # FLD
                     address = regs[instr.b] + instr.imm
-                    fregs[instr.a] = struct.unpack(
-                        "<d", mem.read_bytes(address, 8))[0]
+                    offset = address % page_size
+                    if offset > fp_last:  # straddles two pages
+                        fregs[instr.a] = _DOUBLE.unpack(
+                            mem.read_bytes(address, 8))[0]
+                    else:
+                        data = rget(address // page_size)
+                        if data is None:
+                            data = _read_miss(mem, address, rtlb)
+                        fregs[instr.a] = unpack_double(data, offset)[0]
                     mc += 1
                 elif op == 44:  # FST
                     address = regs[instr.b] + instr.imm
-                    mem.write_bytes(address, struct.pack("<d", fregs[instr.a]))
+                    offset = address % page_size
+                    if offset > fp_last:  # straddles two pages
+                        cow_faults = mem.cow_faults
+                        mem.write_bytes(address,
+                                        _DOUBLE.pack(fregs[instr.a]))
+                        if mem.cow_faults != cow_faults:
+                            rtlb.clear()
+                            wtlb.clear()
+                    else:
+                        data = wget(address // page_size)
+                        if data is None:
+                            data = _write_miss(mem, address, rtlb, wtlb)
+                        pack_double(data, offset, fregs[instr.a])
                     mc += 1
                 elif op == 45:  # FLI
                     fregs[instr.a] = float(instr.imm)
@@ -258,14 +340,26 @@ def run(proc, budget: int) -> Stop:
                     vregs[instr.a] = [lhs[i] ^ rhs[i] for i in range(4)]
                 elif op == 55:  # VLD
                     address = regs[instr.b] + instr.imm
-                    vregs[instr.a] = [mem.load_word(address + 8 * i)
-                                      for i in range(4)]
+                    if address % 8:
+                        raise PageFault(address, "misaligned-read")
+                    lanes = []
+                    for lane in range(address, address + 32, 8):
+                        data = rget(lane // page_size)
+                        if data is None:
+                            data = _read_miss(mem, lane, rtlb)
+                        lanes.append(unpack_word(data, lane % page_size)[0])
+                    vregs[instr.a] = lanes
                     mc += 1
                 elif op == 56:  # VST
                     address = regs[instr.b] + instr.imm
-                    lanes = vregs[instr.a]
-                    for i in range(4):
-                        mem.store_word(address + 8 * i, lanes[i])
+                    if address % 8:
+                        raise PageFault(address, "misaligned-write")
+                    for lane, value in zip(range(address, address + 32, 8),
+                                           vregs[instr.a]):
+                        data = wget(lane // page_size)
+                        if data is None:
+                            data = _write_miss(mem, lane, rtlb, wtlb)
+                        pack_word(data, lane % page_size, value & _MASK64)
                     mc += 1
                 elif op == 57:  # VBCAST
                     value = regs[instr.b]
@@ -304,14 +398,22 @@ def run(proc, budget: int) -> Stop:
             stop = Stop(StopReason.OOM, executed, needed=exc.needed)
             break
 
-        ir += 1
         executed += 1
 
     if stop is None:
-        stop = Stop(StopReason.BUDGET, executed)
+        # Same precedence as checking each bound before every instruction.
+        if executed >= budget:
+            stop = Stop(StopReason.BUDGET, executed)
+        elif base + executed >= deliver_at:
+            deliver_at = _HUGE
+            branch_target = _HUGE
+            stop = Stop(StopReason.COUNTER_OVERFLOW, executed)
+        else:
+            instr_ovf_at = _HUGE
+            stop = Stop(StopReason.INSTR_OVERFLOW, executed)
 
     cpu.pc = pc
-    cpu.instr_retired = ir
+    cpu.instr_retired = ir + executed
     cpu.branches_retired = bc
     cpu.mem_ops_retired = mc
     cpu.instr_overcount = overcount

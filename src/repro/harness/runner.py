@@ -39,6 +39,8 @@ class InputResult:
     metrics: Optional[MetricRegistry] = None
     #: Phase-attributed cycle ledger of the run (protected modes only).
     phase_profile: Optional[PhaseProfile] = None
+    #: What the program wrote to stdout.
+    stdout: str = ""
 
 
 @dataclass
@@ -124,6 +126,7 @@ def run_baseline(bench: Benchmark, platform: Optional[PlatformConfig] = None,
             sys_time=proc.sys_time,
             energy_joules=executor.total_energy_joules(wall=wall),
             pss_samples=pss,
+            stdout=kernel.console.text(),
         ))
     return result
 
@@ -203,6 +206,7 @@ def run_protected(bench: Benchmark, mode: str = "parallaft",
             pss_samples=list(stats.pss_samples),
             metrics=getattr(stats, "metrics", None),
             phase_profile=profile,
+            stdout=stats.stdout,
         ))
     return result
 

@@ -133,11 +133,6 @@ OPCODES_BY_MNEMONIC = {name: op for op, name in MNEMONICS.items()}
 
 #: Conditional branches (count as retired branches, may or may not be taken).
 CONDITIONAL_BRANCHES = frozenset({BEQ, BNE, BLT, BGE, BLE, BGT})
-#: All instructions retired as branches by the branch counter.
-BRANCH_OPCODES = frozenset({JMP, JAL, JR} | CONDITIONAL_BRANCHES)
-#: Far branches (privilege-level switches); excluded from the "near branch"
-#: counter Parallaft uses on Intel (paper §4.2.1).
-FAR_BRANCH_OPCODES = frozenset({SYSCALL})
 #: Instructions whose result is nondeterministic across runs/cores.
 NONDET_OPCODES = frozenset({RDTSC, MRS, CPUID})
 #: Memory-touching instructions (used by the memory-intensity profiler).
@@ -217,14 +212,6 @@ def operand_shape(op: int) -> str:
     if op in _NONE:
         return "none"
     raise ValueError(f"unknown opcode {op}")
-
-
-def is_branch(op: int) -> bool:
-    return op in BRANCH_OPCODES
-
-
-def is_far_branch(op: int) -> bool:
-    return op in FAR_BRANCH_OPCODES
 
 
 def make_nop() -> Instr:

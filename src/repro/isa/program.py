@@ -49,11 +49,6 @@ class Program:
                 return self.labels[symbol]
         return CODE_BASE
 
-    @property
-    def code_end(self) -> int:
-        """One past the last code address."""
-        return CODE_BASE + len(self.instrs) * INSTR_SIZE
-
     def address_of(self, label: str) -> int:
         if label not in self.labels:
             raise KeyError(f"no such label: {label}")

@@ -74,9 +74,6 @@ class RegisterSite:
     index: int
     bit: int
 
-    def as_tuple(self) -> Tuple[str, int, int]:
-        return (self.file, self.index, self.bit)
-
     def __str__(self) -> str:
         name = gpr_name(self.index) if self.file == "gpr" \
             else f"{self.file[0]}{self.index}"
@@ -93,8 +90,3 @@ def all_fault_sites() -> List[Tuple[str, int, int]]:
     for index in range(NUM_VEC):
         sites.extend(("vec", index, bit) for bit in range(VEC_BITS))
     return sites
-
-
-def all_register_sites() -> List[RegisterSite]:
-    """Structured version of :func:`all_fault_sites`."""
-    return [RegisterSite(*site) for site in all_fault_sites()]

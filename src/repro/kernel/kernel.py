@@ -211,9 +211,6 @@ class Kernel:
         if self.trace.enabled:
             self.trace.emit(tev.PROCESS_REAP, pid=proc.pid)
 
-    def live_processes(self) -> List[Process]:
-        return [p for p in self.processes.values() if p.alive]
-
     def rollback_to_checkpoint(self, old_main: Process,
                                checkpoint: Process) -> Process:
         """Checkpoint-restore: replace ``old_main`` with ``checkpoint``.

@@ -12,7 +12,7 @@ programs slow under tracing (paper §5.7).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.cpu.exceptions import Stop
 
@@ -83,7 +83,3 @@ class Tracer:
     def on_quantum(self, proc, executed: int) -> None:
         """Called after every execution quantum with the instruction count;
         cheap bookkeeping only (the slicer's cycle check lives here)."""
-
-    def trace_stop_count(self) -> int:
-        """Number of tracer round-trips charged so far (set by the kernel)."""
-        return 0

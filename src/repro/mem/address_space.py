@@ -252,14 +252,18 @@ class AddressSpace:
 
     # -- data access ---------------------------------------------------------
 
-    def _pte_for_read(self, address: int) -> Tuple[Pte, int]:
+    def pte_for_read(self, address: int) -> Tuple[Pte, int]:
+        """Resolve a data read: the PTE and offset, or a ``PageFault``."""
         vpn, offset = divmod(address, self.page_size)
         pte = self.pages.get(vpn)
         if pte is None:
             raise PageFault(address, "read")
         return pte, offset
 
-    def _pte_for_write(self, address: int) -> Tuple[Pte, int]:
+    def pte_for_write(self, address: int) -> Tuple[Pte, int]:
+        """Resolve a data write: fault on an unmapped or read-only page,
+        resolve COW (which may allocate, see ``FramePool.clone``) and set
+        the soft-dirty bit.  The interpreter's TLB misses land here too."""
         vpn, offset = divmod(address, self.page_size)
         pte = self.pages.get(vpn)
         if pte is None:
@@ -284,30 +288,30 @@ class AddressSpace:
     def load_word(self, address: int) -> int:
         if address % 8:
             raise PageFault(address, "misaligned-read")
-        pte, offset = self._pte_for_read(address)
+        pte, offset = self.pte_for_read(address)
         return int.from_bytes(pte.frame.data[offset:offset + 8], "little",
                               signed=True)
 
     def store_word(self, address: int, value: int) -> None:
         if address % 8:
             raise PageFault(address, "misaligned-write")
-        pte, offset = self._pte_for_write(address)
+        pte, offset = self.pte_for_write(address)
         pte.frame.data[offset:offset + 8] = \
             (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
     def load_byte(self, address: int) -> int:
-        pte, offset = self._pte_for_read(address)
+        pte, offset = self.pte_for_read(address)
         return pte.frame.data[offset]
 
     def store_byte(self, address: int, value: int) -> None:
-        pte, offset = self._pte_for_write(address)
+        pte, offset = self.pte_for_write(address)
         pte.frame.data[offset] = value & 0xFF
 
     def read_bytes(self, address: int, length: int) -> bytes:
         """Kernel-side buffer read (syscall arguments, comparator)."""
         out = bytearray()
         while length > 0:
-            pte, offset = self._pte_for_read(address)
+            pte, offset = self.pte_for_read(address)
             take = min(length, self.page_size - offset)
             out.extend(pte.frame.data[offset:offset + take])
             address += take
@@ -334,7 +338,7 @@ class AddressSpace:
                     pte.soft_dirty = True
                     self.dirty_marks += 1
             else:
-                pte, offset = self._pte_for_write(address + position)
+                pte, offset = self.pte_for_write(address + position)
             take = min(len(data) - position, self.page_size - offset)
             pte.frame.data[offset:offset + take] = data[position:position + take]
             position += take

@@ -19,7 +19,6 @@ on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 from repro.common.units import DEFAULT_CYCLE_SCALE, GHZ
 
@@ -90,9 +89,6 @@ class PlatformConfig:
     #: because cycle-slicing can break partially-executed rep-prefixed
     #: instructions - paper footnote 14).
     slicing_unit: str = "cycles"
-
-    def hw_to_virtual(self, hw_count: float) -> int:
-        return max(1, round(hw_count / self.cycle_scale))
 
     def core_dyn_power_w(self, cluster: str, freq_hz: float) -> float:
         """Dynamic power at a DVFS point."""

@@ -42,28 +42,45 @@ def merged(result):
 
 
 class TestWorkerSigkill:
-    def test_killed_worker_is_retried_to_the_serial_result(self):
+    def test_killed_worker_is_retried_to_the_serial_result(self, tmp_path):
         """SIGKILL one worker mid-task: the supervisor must charge the
         in-flight task an attempt, respawn the shard and still converge
         on the exact serial result."""
         baseline = CampaignEngine(slow_echo, [{"n": i} for i in range(10)],
                                   campaign_seed=6, shards=2).run()
 
+        def marked_echo(task):
+            # The worker flushes its "start" record before calling the
+            # task, so while this file exists that record is on disk.
+            marker = tmp_path / str(os.getpid())
+            marker.write_text(task.task_id)
+            try:
+                return slow_echo(task)
+            finally:
+                marker.unlink()
+
         killed = threading.Event()
 
         def killer():
+            # Freeze each worker before looking at its marker, so it
+            # cannot finish the task between the look and the kill.
             deadline = time.time() + 10.0
             while not killed.is_set() and time.time() < deadline:
-                children = multiprocessing.active_children()
-                if children:
-                    os.kill(children[0].pid, signal.SIGKILL)
-                    killed.set()
-                    return
+                for child in multiprocessing.active_children():
+                    try:
+                        os.kill(child.pid, signal.SIGSTOP)
+                    except ProcessLookupError:
+                        continue
+                    if (tmp_path / str(child.pid)).exists():
+                        os.kill(child.pid, signal.SIGKILL)
+                        killed.set()
+                        return
+                    os.kill(child.pid, signal.SIGCONT)
                 time.sleep(0.01)
 
         thread = threading.Thread(target=killer)
         thread.start()
-        result = CampaignEngine(slow_echo, [{"n": i} for i in range(10)],
+        result = CampaignEngine(marked_echo, [{"n": i} for i in range(10)],
                                 campaign_seed=6, shards=2, workers=2,
                                 max_task_attempts=3, backoff_base=0.01,
                                 backoff_cap=0.05).run()

@@ -1,11 +1,13 @@
 """Tests for the CPU interpreter: semantics, counters, breakpoints, traps."""
 
+import struct
+
 import pytest
 
 from repro.cpu import CpuContext, StopReason, run
 from repro.cpu.exceptions import FaultKind
 from repro.isa import DATA_BASE, assemble
-from repro.mem import AddressSpace, FramePool
+from repro.mem import PROT_READ, AddressSpace, FramePool
 
 PAGE = 4096
 
@@ -414,6 +416,182 @@ class TestStops:
         stop = proc.run()
         assert stop.reason == StopReason.FAULT
         assert stop.fault.detail == "exec"
+
+
+class TestSoftwareTlb:
+    """Accesses cached by the per-run TLB behave like the slow paths."""
+
+    VPN = DATA_BASE // PAGE
+
+    def test_load_then_store_to_cow_page_copies_it(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            ld r3, r1, 8
+            li r2, 5
+            st r2, r1, 8
+            ld r4, r1, 8
+            halt
+        """, data=struct.pack("<2q", 0, 41))
+        sibling = proc.mem.fork()
+        assert proc.run().reason == StopReason.HALTED
+        regs = proc.cpu.regs.gprs
+        assert (regs[3], regs[4]) == (41, 5)  # second load sees the copy
+        assert proc.mem.cow_faults == 1
+        assert proc.mem.frame_id(self.VPN) != sibling.frame_id(self.VPN)
+        assert sibling.load_word(DATA_BASE + 8) == 41
+
+    def test_load_then_store_to_read_only_page_faults(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            ld r3, r1, 0
+            st r3, r1, 0
+            halt
+        """, data=struct.pack("<q", 7))
+        proc.mem.mprotect(DATA_BASE, PAGE, PROT_READ)
+        stop = proc.run()
+        assert stop.reason == StopReason.FAULT
+        assert stop.fault.kind == FaultKind.PAGE_FAULT
+        assert (stop.fault.address, stop.fault.detail) == (DATA_BASE, "write")
+        assert proc.cpu.regs.gprs[3] == 7
+        assert proc.cpu.pc == proc.mem.code_base + 8  # at the store
+
+    @pytest.mark.parametrize("instr,detail", [
+        ("ld r2, r1, 3", "misaligned-read"),
+        ("st r2, r1, 3", "misaligned-write"),
+        ("vld v0, r1, 4", "misaligned-read"),
+        ("vst v0, r1, 4", "misaligned-write"),
+    ])
+    def test_misaligned_word_access(self, instr, detail):
+        proc = StubProcess(f"la r1, 0x1000000\n{instr}\nhalt\n",
+                           data=b"\x00" * 64)
+        stop = proc.run()
+        assert stop.reason == StopReason.FAULT
+        offset = int(instr.rsplit(",", 1)[1])
+        assert (stop.fault.address, stop.fault.detail) == \
+            (DATA_BASE + offset, detail)
+
+    def test_fp_access_straddling_two_mapped_pages(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            fld f0, r1, 4092
+            ld r5, r1, 4088
+            fli f1, 0.1
+            fst f1, r1, 4090
+            ld r6, r1, 4088
+            halt
+        """, data=b"\x00" * (2 * PAGE))
+        proc.mem.write_bytes(DATA_BASE + PAGE - 4, struct.pack("<d", -1.1))
+        sibling = proc.mem.fork()
+        before = sibling.read_bytes(DATA_BASE + PAGE - 6, 8)
+        assert proc.run().reason == StopReason.HALTED
+        assert proc.cpu.regs.fprs[0] == -1.1
+        regs = proc.cpu.regs.gprs
+        assert regs[5] != regs[6] == proc.mem.load_word(DATA_BASE + PAGE - 8)
+        assert proc.mem.read_bytes(DATA_BASE + PAGE - 6, 8) == \
+            struct.pack("<d", 0.1)
+        assert proc.mem.cow_faults == 2
+        assert sibling.read_bytes(DATA_BASE + PAGE - 6, 8) == before
+
+    @pytest.mark.parametrize("instr,detail", [
+        ("fld f0, r1, 4092", "read"),
+        ("fst f0, r1, 4092", "write"),
+    ])
+    def test_fp_access_straddling_into_unmapped_page(self, instr, detail):
+        proc = StubProcess(f"la r1, 0x1000000\nfli f0, 3.0\n{instr}\nhalt\n",
+                           data=b"\x00" * PAGE)
+        stop = proc.run()
+        assert stop.reason == StopReason.FAULT
+        assert (stop.fault.address, stop.fault.detail) == \
+            (DATA_BASE + PAGE, detail)
+        if detail == "write":  # the first page's half is already written
+            assert proc.mem.read_bytes(DATA_BASE + PAGE - 4, 4) == \
+                struct.pack("<d", 3.0)[:4]
+
+    def test_vector_store_into_unmapped_page_writes_leading_lanes(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            li r2, 6
+            vbcast v0, r2
+            vst v0, r1, 4080
+            halt
+        """, data=b"\x00" * PAGE)
+        stop = proc.run()
+        assert (stop.fault.address, stop.fault.detail) == \
+            (DATA_BASE + PAGE, "write")
+        assert proc.mem.load_word(DATA_BASE + PAGE - 8) == 6
+
+    def test_first_store_over_budget_stops_oom_and_retries(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            ld r3, r1, 0
+            st r1, r1, 0
+            halt
+        """, data=b"\x00" * 64)
+        sibling = proc.mem.fork()
+        proc.pool.set_budget(proc.pool.resident_bytes)
+        stop = proc.run()
+        assert (stop.reason, stop.needed) == (StopReason.OOM, PAGE)
+        assert proc.cpu.pc == proc.mem.code_base + 8  # store not retired
+        assert proc.cpu.instr_retired == 2
+        assert proc.mem.cow_faults == 0
+        proc.pool.set_budget(None)
+        assert proc.run().reason == StopReason.HALTED
+        assert proc.mem.load_word(DATA_BASE) == DATA_BASE
+        assert sibling.load_word(DATA_BASE) == 0
+
+    def test_reclaim_during_cow_copy_is_seen_by_later_loads(self):
+        proc = StubProcess("""
+            la r1, 0x1000000
+            ld r3, r1, 4096
+            st r1, r1, 0
+            ld r4, r1, 4096
+            halt
+        """, data=b"\x00" * (2 * PAGE))
+        sibling = proc.mem.fork()
+
+        def reclaim(_needed):  # frees the second page in both spaces
+            for space in (proc.mem, sibling):
+                space.munmap(DATA_BASE + PAGE, PAGE)
+
+        proc.pool.reclaim_hook = reclaim
+        proc.pool.set_budget(proc.pool.resident_bytes)
+        stop = proc.run()
+        assert stop.reason == StopReason.FAULT
+        assert (stop.fault.address, stop.fault.detail) == \
+            (DATA_BASE + PAGE, "read")
+        assert proc.mem.load_word(DATA_BASE) == DATA_BASE
+
+    def test_budget_wins_over_overflow_armed_by_last_instruction(self):
+        proc = StubProcess("""
+            li r1, 10
+        loop:
+            addi r1, r1, -1
+            bne r1, r0, loop
+            halt
+        """)
+        proc.cpu.arm_branch_overflow(1)
+        stop = proc.run(budget=3)  # the third instruction is the branch
+        assert (stop.reason, stop.executed) == (StopReason.BUDGET, 3)
+        stop = proc.run(budget=3)
+        assert (stop.reason, stop.executed) == \
+            (StopReason.COUNTER_OVERFLOW, 0)
+        assert proc.cpu.instr_retired == 3
+
+    def test_counter_overflow_wins_over_instruction_overflow(self):
+        proc = StubProcess("""
+            li r1, 10
+        loop:
+            addi r1, r1, -1
+            bne r1, r0, loop
+            halt
+        """)
+        proc.cpu.arm_branch_overflow(1)
+        proc.cpu.arm_instr_overflow(3)
+        stop = proc.run()
+        assert (stop.reason, stop.executed) == \
+            (StopReason.COUNTER_OVERFLOW, 3)
+        stop = proc.run()
+        assert (stop.reason, stop.executed) == (StopReason.INSTR_OVERFLOW, 0)
 
 
 class TestDeterminism:
