@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from repro import Parallaft, ParallaftConfig, compile_source, platform_by_name
-from repro.raft import raft_config
 
 DEMO = """
 // Demo workload: hash a stream of pseudo-random records.
@@ -54,7 +53,7 @@ def main():
                              name=args.source or "demo")
 
     if args.raft:
-        config = raft_config()
+        config = ParallaftConfig.raft()
     else:
         config = ParallaftConfig()
         config.slicing_period = args.period

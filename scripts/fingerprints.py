@@ -2,7 +2,8 @@
 
 Each entry digests what one run of the benchmark's first input shows:
 stdout, exit code, simulated wall time and energy and, under the
-protected modes, ``RunStats.to_dict()`` and the phase totals.  A speed-up
+protected modes, ``RunStats.to_dict()``, the phase totals and the kinds
+of the run's trace events in emission order.  A speed-up
 or refactor must leave every digest unchanged; ``tests/test_fingerprints.py``
 asserts that against the committed ``tests/golden/fingerprints.json``.  A
 fingerprint change is a deliberate event: regenerate the file and say why.
@@ -23,8 +24,9 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 BENCHMARKS = ("sjeng", "namd", "povray", "mcf", "lbm", "milc")
 MODES = ("baseline", "parallaft", "raft", "tmr")
@@ -38,10 +40,14 @@ def fingerprint(name: str, mode: str) -> Dict[str, str]:
     from repro.workloads.registry import benchmark
 
     bench = dataclasses.replace(benchmark(name), n_inputs=1)
+    trace_kinds = None
     if mode == "baseline":
         result = run_baseline(bench)
     else:
-        result = run_protected(bench, mode=mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            trace_path = os.path.join(tmp, "trace.json")
+            result = run_protected(bench, mode=mode, trace_path=trace_path)
+            trace_kinds = event_kinds(trace_path)
     run = result.inputs[0]
     behaviour = {
         "stdout": run.stdout,
@@ -58,12 +64,22 @@ def fingerprint(name: str, mode: str) -> Dict[str, str]:
             "stall_seconds": profile.stall_seconds,
             "total_cycles": profile.total_cycles,
         }
+        behaviour["trace_kinds"] = trace_kinds
     blob = json.dumps(behaviour, sort_keys=True, default=repr)
     return {
         "digest": hashlib.sha256(blob.encode()).hexdigest(),
         "sim_wall": repr(run.wall_time),
         "sim_energy": repr(run.energy_joules),
     }
+
+
+def event_kinds(trace_path: str) -> List[str]:
+    """The kinds of a Chrome trace's instant events, in emission order
+    (segment spans and process-name metadata are derived, not events)."""
+    with open(trace_path) as fh:
+        trace = json.load(fh)
+    return [event["name"] for event in trace["traceEvents"]
+            if event["ph"] == "i"]
 
 
 def compute_all() -> Dict[str, Dict[str, str]]:

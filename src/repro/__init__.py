@@ -21,9 +21,9 @@ Run the paper's experiments::
 Layers (bottom-up): :mod:`repro.isa` / :mod:`repro.minic` (programs),
 :mod:`repro.mem` / :mod:`repro.cpu` / :mod:`repro.kernel` (machine),
 :mod:`repro.sim` (heterogeneous timing/energy), :mod:`repro.core`
-(the Parallaft runtime), :mod:`repro.raft` (baseline),
-:mod:`repro.faults` (injection), :mod:`repro.workloads` /
-:mod:`repro.harness` (evaluation).
+(the Parallaft runtime), :mod:`repro.modes` (detection modes, the RAFT
+baseline included), :mod:`repro.faults` (injection),
+:mod:`repro.workloads` / :mod:`repro.harness` (evaluation).
 """
 
 from repro.core import (

@@ -2,17 +2,22 @@
 
 At the end of each segment the checker's state must equal the checkpoint
 taken from the main at the same execution point.  State = all registers +
-the PC + all modified memory.  To avoid copying page contents between
-processes, Parallaft injects hasher code into both processes and compares
-XXH3-64 digests of the modified pages only; we model the same structure (and
-its cost) and also provide the full-memory strawman for the ablation.
+the PC + all modified memory.  Parallaft injects hasher code into both
+processes and compares XXH3-64 digests of the modified pages, so page
+contents never cross between processes.  The simulator holds both pages in
+one address space, so the verdict is a plain byte compare of each page
+(pages backed by the same frame are equal without reading a byte); the
+injected hasher's cost is still charged, from ``bytes_hashed``.  The
+full-memory strawman for the ablation compares every mapped page.
 
 The comparator is itself part of the trusted computing base: a hash-path
 fault (or an engineered collision) makes two differing pages look equal and
-the corruption escapes silently.  ``redundant=True`` (config knob
-``redundant_compare``) runs a second, independent hash path over the same
-pages; a verdict disagreement between the two paths implicates the
-comparator — not the application — and is reported with reason
+the corruption escapes silently.  Both that fault and its defence are
+modelled, not computed: the digest-corrupt fault arms
+``fault_next_digest_collision`` and :meth:`StateComparator._collide`
+forges the verdict; ``redundant=True`` (config knob ``redundant_compare``)
+stands for a second, independent hash path — its cost doubles
+``bytes_hashed``, and a forged verdict is reported with reason
 ``"integrity"`` so the runtime fail-stops instead of "recovering" on
 untrusted evidence.  The module also hosts the checkpoint integrity
 helpers: :func:`state_digest` (whole-process digest for retained recovery
@@ -22,7 +27,7 @@ tracker did not under-report).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import ComparisonStrategy
 from repro.hashing import Xxh3_64
@@ -66,10 +71,9 @@ class ComparisonResult:
                 shown += f", +{extra} more"
             return (f"{len(self.mismatched_vpns)} dirty page(s) diverge "
                     f"(vpn {shown})")
-        if self.reason == "integrity":
-            return ("comparator hash paths disagree — digest logic is "
-                    "untrusted, verdict discarded")
-        return self.reason
+        # "integrity": the only other reason a comparison can carry.
+        return ("comparator hash paths disagree — digest logic is "
+                "untrusted, verdict discarded")
 
 
 class VoteResult:
@@ -105,13 +109,6 @@ class VoteResult:
         return not self.loser_replicas and not self.main_outvoted \
             and self.quorum >= 2
 
-    @property
-    def bytes_hashed(self) -> int:
-        total = sum(r.bytes_hashed for r in self.results)
-        if self.cross_result is not None:
-            total += self.cross_result.bytes_hashed
-        return total
-
     def __repr__(self) -> str:
         return (f"VoteResult(quorum={self.quorum}, "
                 f"main_outvoted={self.main_outvoted}, "
@@ -123,16 +120,16 @@ class StateComparator:
                  redundant: bool = False):
         self.strategy = strategy
         self.page_size = page_size
-        #: Second, independent hash path (``redundant_compare``): a verdict
-        #: disagreement between paths is a comparator fault, not an
-        #: application divergence.
+        #: Models a second, independent hash path (``redundant_compare``):
+        #: it doubles the hashing cost, and a verdict disagreement between
+        #: paths is a comparator fault, not an application divergence.
         self.redundant = redundant
         #: Fault-injection hook (``repro.faults.infra`` digest-corrupt
         #: model): when armed, the *primary* digest path of the next
         #: ``compare`` call reports "equal" no matter what actually
-        #: diverged — the comparator reduces (pc, registers, pages) to
-        #: digests, so a faulted digest path forges the whole verdict,
-        #: whichever stage the divergence lives in.  Consumed
+        #: diverged — the modelled comparator reduces (pc, registers,
+        #: pages) to digests, so a faulted digest path forges the whole
+        #: verdict, whichever stage the divergence lives in.  Consumed
         #: (read-and-cleared) at compare entry so an early-stage return
         #: cannot leak it into a later segment's comparison.
         self.fault_next_digest_collision = False
@@ -222,29 +219,9 @@ class StateComparator:
                 raise ValueError("dirty_hash comparison needs dirty_vpns")
             vpns = sorted(dirty_vpns)
 
-        checker_hash = Xxh3_64()
-        checkpoint_hash = Xxh3_64()
-        bytes_hashed = 0
-        mismatched: List[int] = []
-        for vpn in vpns:
-            left = self._page_or_none(checker, vpn)
-            right = self._page_or_none(checkpoint, vpn)
-            if left is None or right is None:
-                if left is not right:
-                    mismatched.append(vpn)
-                continue
-            # Tag with the vpn so swapped page contents cannot cancel out.
-            tag = vpn.to_bytes(8, "little")
-            checker_hash.update(tag)
-            checker_hash.update(left)
-            checkpoint_hash.update(tag)
-            checkpoint_hash.update(right)
-            bytes_hashed += 2 * len(left)
-            if left != right:
-                mismatched.append(vpn)
-
+        mismatched, bytes_hashed = _compare_pages(checker, checkpoint, vpns)
         if self.redundant:
-            # Second independent pass over the same pages (cost doubles).
+            # The second hash path reads the same pages (cost doubles).
             bytes_hashed *= 2
 
         if mismatched:
@@ -253,10 +230,6 @@ class StateComparator:
                                       bytes_hashed=bytes_hashed,
                                       pages_compared=len(vpns))
             return self._collide(result) if collision else result
-        if checker_hash.digest() != checkpoint_hash.digest():
-            # Unreachable unless the hash itself is broken; kept for rigor.
-            return ComparisonResult(False, "hash", bytes_hashed=bytes_hashed,
-                                    pages_compared=len(vpns))
         return ComparisonResult(True, bytes_hashed=bytes_hashed,
                                 pages_compared=len(vpns))
 
@@ -279,11 +252,34 @@ class StateComparator:
         return ComparisonResult(True, bytes_hashed=truth.bytes_hashed,
                                 pages_compared=truth.pages_compared)
 
-    @staticmethod
-    def _page_or_none(proc: Process, vpn: int) -> Optional[bytes]:
-        if vpn in proc.mem.pages:
-            return proc.mem.page_bytes(vpn)
-        return None
+
+def _compare_pages(left: Process, right: Process,
+                   vpns: Iterable[int]) -> Tuple[List[int], int]:
+    """Byte-compare the pages at ``vpns`` in two processes.
+
+    A page mapped on one side only mismatches; pages backed by the same
+    frame are equal without reading them.  Returns ``(mismatched_vpns,
+    bytes_compared)``, where every page mapped on both sides counts its
+    size twice (once per side) — the bytes a hasher would stream.
+    """
+    left_pages = left.mem.pages
+    right_pages = right.mem.pages
+    mismatched: List[int] = []
+    nbytes = 0
+    for vpn in vpns:
+        left_pte = left_pages.get(vpn)
+        right_pte = right_pages.get(vpn)
+        if left_pte is None or right_pte is None:
+            if left_pte is not right_pte:
+                mismatched.append(vpn)
+            continue
+        left_frame = left_pte.frame
+        right_frame = right_pte.frame
+        nbytes += 2 * len(left_frame.data)
+        if left_frame is not right_frame \
+                and left_frame.data != right_frame.data:
+            mismatched.append(vpn)
+    return mismatched, nbytes
 
 
 def state_digest(proc: Process) -> Tuple[int, int]:
@@ -337,16 +333,5 @@ def audit_clean_pages(checker: Process, checkpoint: Process,
         if checker.mem.frame_id(vpn) != checkpoint.mem.frame_id(vpn):
             suspicious.append(vpn)
     audited = suspicious[:limit] if limit else []
-    mismatched: List[int] = []
-    bytes_compared = 0
-    for vpn in audited:
-        left = StateComparator._page_or_none(checker, vpn)
-        right = StateComparator._page_or_none(checkpoint, vpn)
-        if left is None or right is None:
-            if left is not right:
-                mismatched.append(vpn)
-            continue
-        bytes_compared += 2 * len(left)
-        if left != right:
-            mismatched.append(vpn)
+    mismatched, bytes_compared = _compare_pages(checker, checkpoint, audited)
     return audited, mismatched, bytes_compared

@@ -1368,52 +1368,67 @@ class Parallaft(Tracer):
     def _pairwise_boundary_check(self, segment: Segment) -> None:
         """The paper's boundary policy (and the mode-hook default): one
         checker, compared pairwise against the end checkpoint."""
-        checkpoint = segment.end_checkpoint
         if self.config.compare_state:
-            for hook in self.compare_hooks:
-                hook(segment)
-            replica = segment.replicas[0]
-            checker = replica.process
-            result, union = self._compare_replica(segment, replica,
-                                                  mph.COMPARISON)
-            if not result.match:
-                if result.reason == "integrity":
-                    # The two hash paths disagreed: the comparator itself
-                    # is faulty, so no verdict it produced can be trusted
-                    # — including the ones that admitted earlier segments.
-                    self._integrity_fail("digest", segment,
-                                         result.describe())
-                    self._report_error("infra_integrity", segment,
-                                       result.describe())
-                else:
-                    self._report_error("state_mismatch", segment,
-                                       result.describe())
+            compares = self._boundary_compares(segment, mph.COMPARISON)
+            if compares is None:
                 return
-            if self.config.clean_page_audit > 0:
-                audited, bad, audit_bytes = audit_clean_pages(
-                    checker, checkpoint, union,
-                    self.config.clean_page_audit)
-                self.stats.integrity_checks += 1
-                self.executor.charge(
-                    checker, self.kernel.costs.hash_cycles(audit_bytes),
-                    phase=mph.HASHING)
-                self._emit(tev.INTEGRITY_CHECK, proc=checker,
-                           segment=segment.index, check="clean_page_audit",
-                           audited=len(audited), ok=not bad)
-                if bad:
-                    shown = ", ".join(hex(v) for v in bad[:4])
-                    detail = (f"clean-page audit: {len(bad)} page(s) "
-                              f"modified but missing from the dirty union "
-                              f"(vpn {shown}) — dirty tracking "
-                              f"under-reported")
-                    # The tracker lied, so this comparison (and any other
-                    # that trusted its union) proves nothing: integrity
-                    # fail-stop, not an application mismatch.
-                    self._integrity_fail("clean_page_audit", segment,
-                                         detail)
-                    self._report_error("infra_integrity", segment, detail)
-                    return
+            result, _ = compares[0]
+            if not result.match:
+                self._report_error("state_mismatch", segment,
+                                   result.describe())
+                return
         self._segment_verified(segment)
+
+    def _boundary_compares(self, segment: Segment, phase: str):
+        """Compare every replica against the end checkpoint and vet the
+        comparisons — the one path from compare to evidence for every
+        boundary policy (the pairwise check and the TMR vote).
+
+        Returns one ``(result, union)`` per replica, or None when an
+        integrity check failed: the segment is then already fail-stopped
+        with ``infra_integrity`` and the caller must decide nothing.
+        """
+        for hook in self.compare_hooks:
+            hook(segment)
+        compares = [self._compare_replica(segment, replica, phase)
+                    for replica in segment.replicas]
+        for result, _ in compares:
+            if result.reason == "integrity":
+                # The two hash paths disagreed: the comparator itself is
+                # faulty, so no verdict it produced can be trusted —
+                # including the ones that admitted earlier segments.
+                self._integrity_fail("digest", segment, result.describe())
+                self._report_error("infra_integrity", segment,
+                                   result.describe())
+                return None
+        if self.config.clean_page_audit <= 0:
+            return compares
+        for replica, (result, union) in zip(segment.replicas, compares):
+            if not result.match:
+                continue
+            checker = replica.process
+            audited, bad, audit_bytes = audit_clean_pages(
+                checker, segment.end_checkpoint, union,
+                self.config.clean_page_audit)
+            self.stats.integrity_checks += 1
+            self.executor.charge(
+                checker, self.kernel.costs.hash_cycles(audit_bytes),
+                phase=mph.HASHING)
+            self._emit(tev.INTEGRITY_CHECK, proc=checker,
+                       segment=segment.index, check="clean_page_audit",
+                       audited=len(audited), ok=not bad)
+            if bad:
+                shown = ", ".join(hex(v) for v in bad[:4])
+                detail = (f"clean-page audit: {len(bad)} page(s) "
+                          f"modified but missing from the dirty union "
+                          f"(vpn {shown}) — dirty tracking under-reported")
+                # The tracker lied, so this comparison (and any other
+                # that trusted its union) proves nothing: integrity
+                # fail-stop, not an application mismatch.
+                self._integrity_fail("clean_page_audit", segment, detail)
+                self._report_error("infra_integrity", segment, detail)
+                return None
+        return compares
 
     def _segment_verified(self, segment: Segment) -> None:
         """The boundary policy accepted the segment: mark it CHECKED and

@@ -51,29 +51,19 @@ class TmrMode(DetectionMode):
         return ParallaftConfig.tmr()
 
     def boundary_check(self, rt, segment) -> None:
-        """All replicas arrived: run the three-way vote."""
+        """All replicas arrived: run the three-way vote over the
+        comparisons the runtime has vetted (an integrity verdict or a
+        failed clean-page audit fail-stops the segment before any vote)."""
         from repro.metrics import phases as mph
         config = rt.config
         if not config.compare_state:
             rt._segment_verified(segment)
             return
-        for hook in rt.compare_hooks:
-            hook(segment)
-        results = []
-        union = set()
-        for replica in segment.replicas:
-            result, replica_union = rt._compare_replica(segment, replica,
-                                                        mph.VOTE)
-            results.append(result)
-            union |= replica_union
-        for result in results:
-            if result.reason == "integrity":
-                # The comparator's two hash paths disagreed: no verdict
-                # it produced can be trusted, voting included.
-                rt._integrity_fail("digest", segment, result.describe())
-                rt._report_error("infra_integrity", segment,
-                                 result.describe())
-                return
+        compares = rt._boundary_compares(segment, mph.VOTE)
+        if compares is None:
+            return
+        results = [result for result, _ in compares]
+        union = set().union(*(replica_union for _, replica_union in compares))
         processes = [r.process for r in segment.replicas]
         vote = rt.comparator.vote(processes, segment.end_checkpoint,
                                   dirty_vpns=union, results=results)

@@ -116,8 +116,7 @@ class TestComparator:
     def test_page_mapped_on_twin_side_only_mismatches(self):
         """Asymmetry goes both ways: a page present only in the
         *checkpoint* (right side) must mismatch just like one present
-        only in the checker — ``_page_or_none`` returns None for exactly
-        one side in either order."""
+        only in the checker, whichever side lacks the mapping."""
         from repro.mem.address_space import (MAP_ANONYMOUS, MAP_FIXED,
                                              MAP_PRIVATE, PROT_READ,
                                              PROT_WRITE)
@@ -145,35 +144,29 @@ class TestComparator:
         assert not forward.match and not backward.match
         assert forward.mismatched_vpns == backward.mismatched_vpns
 
-    def test_hash_disagreement_with_equal_bytes_is_defensive_hash_reason(
-            self, monkeypatch):
-        """The ``"hash"`` branch: per-page byte compares all pass but the
-        running digests disagree.  Unreachable with a working hash;
-        reachable exactly when the digest logic itself is broken, which
-        is what a stubbed hasher simulates."""
-        import repro.core.comparator as comparator_module
-
-        class BrokenHash:
-            _instances = 0
-
-            def __init__(self):
-                BrokenHash._instances += 1
-                self._id = BrokenHash._instances
-
-            def update(self, data):
-                pass
-
-            def digest(self):
-                return self._id  # every instance disagrees with every other
-
-        monkeypatch.setattr(comparator_module, "Xxh3_64", BrokenHash)
+    def test_pages_sharing_one_frame_match(self):
         _, proc, twin = spawn_pair()
+        vpn = DATA_BASE // PAGE
+        assert proc.mem.pages[vpn].frame is twin.mem.pages[vpn].frame
         comparator = StateComparator(ComparisonStrategy.DIRTY_HASH, PAGE)
-        result = comparator.compare(proc, twin,
-                                    dirty_vpns={DATA_BASE // PAGE})
-        assert not result.match
-        assert result.reason == "hash"
-        assert result.describe() == "hash"
+        result = comparator.compare(proc, twin, dirty_vpns={vpn})
+        assert result.match
+        # The modelled hasher still streams both sides of the page.
+        assert result.bytes_hashed == 2 * PAGE
+
+    def test_distinct_frames_with_equal_bytes_match(self):
+        _, proc, twin = spawn_pair()
+        address = DATA_BASE + 64
+        vpn = address // PAGE
+        # Rewriting a word with its own value COWs each side privately.
+        proc.mem.store_word(address, proc.mem.load_word(address))
+        twin.mem.store_word(address, twin.mem.load_word(address))
+        left, right = proc.mem.pages[vpn].frame, twin.mem.pages[vpn].frame
+        assert left is not right and left.data == right.data
+        comparator = StateComparator(ComparisonStrategy.DIRTY_HASH, PAGE)
+        result = comparator.compare(proc, twin, dirty_vpns={vpn})
+        assert result.match
+        assert result.bytes_hashed == 2 * PAGE
 
     def test_dirty_hash_requires_vpns(self):
         _, proc, twin = spawn_pair()

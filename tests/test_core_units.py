@@ -5,6 +5,7 @@ import pytest
 from repro import abi
 from repro.core import (
     NondetRecord,
+    Parallaft,
     ParallaftConfig,
     RrLog,
     RuntimeMode,
@@ -202,15 +203,19 @@ class TestStats:
 
 
 class TestRaftVeneer:
+    """RAFT is Parallaft reconfigured (paper §5.1): the raft mode's
+    config preset is the whole veneer."""
+
     def test_raft_class_pins_config(self):
         from repro.minic import compile_source
-        from repro.raft import Raft
-        runtime = Raft(compile_source("func main() { print_int(1); }"))
+        from repro.modes import RaftMode
+        runtime = Parallaft(compile_source("func main() { print_int(1); }"),
+                            config=RaftMode.make_config())
         assert runtime.config.mode == RuntimeMode.RAFT
         stats = runtime.run()
         assert stats.stdout == "1\n"
         assert not stats.error_detected
 
     def test_raft_config_helper(self):
-        from repro.raft import raft_config
-        assert raft_config().mode == RuntimeMode.RAFT
+        from repro.modes import RaftMode
+        assert RaftMode.make_config().mode == RuntimeMode.RAFT

@@ -492,3 +492,23 @@ class TestIntegrityAccounting:
         # Hardened and unhardened fault-free runs produce identical
         # output: the integrity layers observe, they do not interfere.
         assert stats.stdout == profile(False)[1]
+
+    def test_tmr_fault_free_run_audits_every_matching_replica(self):
+        """The clean-page audit is part of the boundary verdict under the
+        TMR vote too: once per replica whose compare matched."""
+        config = ParallaftConfig.tmr()
+        config.slicing_period = 12_000_000_000
+        config.clean_page_audit = 4
+        runtime = Parallaft(compile_source(WORKLOAD), config=config,
+                            platform=apple_m2())
+        stats = runtime.run()
+        assert not stats.errors
+        assert stats.integrity_checks > 0
+        assert stats.integrity_failures == 0
+        audits = [event for event in runtime.trace
+                  if event.kind == tev.INTEGRITY_CHECK
+                  and event.payload["check"] == "clean_page_audit"]
+        assert audits and all(event.payload["ok"] for event in audits)
+        assert len(audits) == 2 * stats.tmr_votes
+        InvariantChecker().assert_ok(runtime.trace)
+        assert stats.stdout == profile(False)[1]
