@@ -424,11 +424,6 @@ class PressureController:
         self._wake_blocked(force=True)
         self._respawn_parked(force=True)
 
-    def on_rollback(self) -> None:
-        """Recovery replaced the main; the old stall died with it."""
-        # stall_engaged survives (pressure has not eased); the new main is
-        # re-stalled at the next poll if needed.
-
     # ------------------------------------------------------ emergency reclaim
 
     def _emergency_reclaim(self, needed: int) -> None:

@@ -23,11 +23,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import abi
-from repro.common.errors import (
-    FramePoolExhausted,
-    ReproError,
-    SimulationError,
-)
+from repro.common.errors import FramePoolExhausted, ReproError
 from repro.core import syscall_model
 from repro.core.checker_sched import CheckerScheduler
 from repro.core.comparator import (
@@ -39,7 +35,6 @@ from repro.core.config import (
     DirtyPageBackend,
     ExecPointCounter,
     ParallaftConfig,
-    RuntimeMode,
 )
 from repro.core.dirty_tracker import DirtyPageTracker
 from repro.core.pressure import PressureController
@@ -684,10 +679,7 @@ class Parallaft(Tracer):
             self.segment_of_checker.pop(proc.pid, None)
             self._stalled_checkers.discard(proc.pid)
             # Count its work as checker time now — it will never retire.
-            self.stats.checker_user_time += proc.user_time
-            self.stats.checker_sys_time += proc.sys_time
-            self.stats.checker_cycles_big += proc.cycles_big
-            self.stats.checker_cycles_little += proc.cycles_little
+            self._account_checker_time(proc)
             if proc.alive:
                 self.kernel.exit_process(proc, 1)
             self.executor.unassign(proc)
@@ -1442,125 +1434,125 @@ class Parallaft(Tracer):
             self.recovery.on_segment_verified(segment)
         self._retire_segment(segment)
 
-    def _forward_recover(self, segment: Segment, vote) -> None:
-        """The main was outvoted: adopt the majority state and continue
-        *forward* from the boundary (TMR; never a rollback).
+    def _rewound_segments(self, index: int) -> List[Segment]:
+        """The segments a rewind at ``index`` discards: every one at or
+        past it that is not already rolled back.  Their start states
+        descend from the replaced main, so even a verified one certified
+        a timeline that no longer exists."""
+        return [s for s in self.segments
+                if s.index >= index
+                and s.status != SegmentStatus.ROLLED_BACK]
 
-        The winning replica replayed the segment from the verified start
-        state, so its state at the end point *is* the majority state —
-        promotion needs no patching: the winner simply becomes the new
-        main.  Execution the old main performed past this boundary was
-        built on the faulted state and is discarded (segments after this
-        one roll up as ``segment_rolled_back`` with
-        ``cause="forward_recovery"``); the boundary itself — and every
-        byte of output committed before it — survives, which is what
-        distinguishes forward recovery from a rollback.
+    def _rewind(self, index: int, new_main: Process,
+                replace: Callable[[Process, Process], Process],
+                adopted: Callable[[], None],
+                at_exit: bool = False) -> None:
+        """Replace the main's timeline from segment ``index`` on — the one
+        mechanism under both rollback recovery (``new_main`` is the
+        retained segment-start checkpoint) and TMR forward recovery (the
+        winning replica).
+
+        Discards :meth:`_rewound_segments`, truncates the consoles to the
+        first discarded segment's marks (that output never left the
+        sphere of replication), swaps ``new_main`` in through ``replace``
+        (the kernel's rollback or promotion entry point) and resets the
+        coordinator state the discarded execution owned.  ``adopted`` then
+        runs the caller's policy against the installed main.  Finally the
+        freed cores go to queued checkers and a fresh segment starts —
+        unless ``at_exit``: the adopted main sits on the program's exit
+        and has nothing left to record.
         """
-        winner = segment.replicas[vote.winner_index]
-        new_main = winner.process
+        discarded = self._rewound_segments(index)
+        for segment in discarded:
+            self._discard_segment(segment, keep=new_main)
+        if discarded:
+            first = discarded[0]
+            for console, stream, mark in (
+                    (self.kernel.console, "stdout", first.console_mark),
+                    (self.kernel.stderr_console, "stderr",
+                     first.stderr_mark)):
+                console.truncate(mark)
+                self._emit(tev.CONSOLE_TRUNCATE, segment=first.index,
+                           stream=stream, length=mark)
+
         old_main = self.main
-        main_was_alive = old_main.alive
-        # -- detach the winner from its checker identity ---------------
-        segment.replicas.remove(winner)
-        self.segment_of_checker.pop(new_main.pid, None)
-        self._stalled_checkers.discard(new_main.pid)
-        # Its replay work stays accounted as checker work; from here on
-        # its cycles are the main's.
-        self.stats.checker_user_time += new_main.user_time
-        self.stats.checker_sys_time += new_main.sys_time
-        self.stats.checker_cycles_big += new_main.cycles_big
-        self.stats.checker_cycles_little += new_main.cycles_little
-        winner.replayer = None
-        new_main.cpu.disarm_branch_overflow()
-        new_main.cpu.disarm_instr_overflow()
-        # -- discard everything recorded after the boundary ------------
-        later = [s for s in self.segments
-                 if s.index > segment.index and s.live]
-        if later:
-            first = min(later, key=lambda s: s.index)
-            self._truncate_consoles(first)
-        for stale in later:
-            # De-queue first: a discard frees cores, and the scheduler
-            # would otherwise place a sibling we are about to tear down.
-            if stale in self.sched.pending:
-                self.sched.pending.remove(stale)
-        for stale in later:
-            self._discard_segment_forward(stale)
-        # -- retire the old main (no rollback is counted) --------------
         old_core = old_main.core
-        self.kernel.promote_process(old_main, new_main)
         self.roles.pop(old_main.pid, None)
+        replace(old_main, new_main)
         self.executor.unassign(old_main)
+        # A promoted replica may still hold its checker core.
         self.executor.unassign(new_main)
-        self.roles[new_main.pid] = "main"
-        # Wall-clock stats measure the protected job, which started when
-        # the original main spawned.
-        new_main.spawn_time = old_main.spawn_time
+        new_main.spawn_time = old_main.spawn_time  # wall time spans the run
         self.main = new_main
+        self.roles[new_main.pid] = "main"
         core = old_core
         if core is None or core.occupant is not None:
             core = (self.executor.free_core("big")
                     or self.executor.free_core("little"))
         self.executor.assign(new_main, core)
-        new_main.state = ProcessState.RUNNING
         new_main.ready_time = max(new_main.ready_time,
                                   self.executor.current_time)
-        # -- reset coordinator state the discarded execution owned -----
+
         self.current = None
         self._pending_syscall = None
         self._pending_mmap_split = False
         self._main_stalled_on_cap = False
         self._main_stalled_for_containment = False
         self._main_stalled_on_pressure = False
-        self.stats.tmr_forward_recoveries += 1
-        self._emit(tev.FORWARD_RECOVERY, proc=new_main,
-                   segment=segment.index, winner_pid=new_main.pid,
-                   discarded=[s.index for s in later])
-        # The boundary itself is majority-verified.
-        self._segment_verified(segment)
-        if main_was_alive:
-            # The old main was mid-recording: open a fresh segment from
-            # the adopted state.
-            self.sched.main_done = False
+        # A main adopted on the exit point is as done as the one it
+        # replaced; any other adopted main records again.
+        self.sched.main_done = self.sched.main_done and at_exit
+        adopted()
+
+        sched = self.sched
+        while sched.pending and sched._try_place(sched.pending[0]):
+            sched.pending.pop(0)
+        if not at_exit:
             self._start_segment()
-        else:
-            # Final segment: the promoted winner sits on the exit
-            # syscall's execution point and will exit natively with the
-            # majority state.
-            self.kernel.reap(old_main)
 
-    def _truncate_consoles(self, first_discarded: Segment) -> None:
-        """Throw away console output the discarded execution produced."""
-        for console, stream, mark in (
-                (self.kernel.console, "stdout",
-                 first_discarded.console_mark),
-                (self.kernel.stderr_console, "stderr",
-                 first_discarded.stderr_mark)):
-            if console.mark() > mark:
-                console.truncate(mark)
-                self._emit(tev.CONSOLE_TRUNCATE, stream=stream,
-                           length=mark,
-                           segment=first_discarded.index)
-
-    def _discard_segment_forward(self, segment: Segment) -> None:
-        """Discard a segment recorded after a forward-recovery boundary:
-        its start state descends from the outvoted main."""
-        if segment in self.sched.pending:
-            self.sched.pending.remove(segment)
-        self._teardown_replicas(segment)
-        self.sched.on_checker_done(segment)
-        segment.checker = None
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            self.roles.pop(segment.end_checkpoint.pid, None)
-            self.kernel.reap(segment.end_checkpoint)
+    def _discard_segment(self, segment: Segment, keep: Process) -> None:
+        """Tear down one segment of a rewound timeline, sparing ``keep``
+        (the new main).  A retired segment's processes are already
+        reaped: only its status flips."""
+        if not segment.retired:
+            if segment in self.sched.pending:
+                self.sched.pending.remove(segment)
+            if segment in self.sched.running:
+                self.sched.running.remove(segment)
+            for replica in segment.replicas:
+                checker = replica.process
+                if checker is None:
+                    continue
+                self.segment_of_checker.pop(checker.pid, None)
+                self.roles.pop(checker.pid, None)
+                self._stalled_checkers.discard(checker.pid)
+                # Detach before killing so exit/ptrace hooks never fire
+                # for a process we are deliberately discarding.
+                checker.tracer = None
+                if checker.alive:
+                    self.kernel.exit_process(checker, 1)
+                self.executor.unassign(checker)
+                self.kernel.reap(checker)
+            segment.checker = None
+            if segment.end_checkpoint is not None \
+                    and not segment.end_is_main:
+                self.roles.pop(segment.end_checkpoint.pid, None)
+                self.kernel.reap(segment.end_checkpoint)
             segment.end_checkpoint = None
-        if segment.recovery_checkpoint is not None:
-            self.roles.pop(segment.recovery_checkpoint.pid, None)
-            self.kernel.reap(segment.recovery_checkpoint)
+            checkpoint = segment.recovery_checkpoint
+            if checkpoint is not None and checkpoint is not keep:
+                self.roles.pop(checkpoint.pid, None)
+                self.kernel.reap(checkpoint)
             segment.recovery_checkpoint = None
         segment.status = SegmentStatus.ROLLED_BACK
-        self._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index,
-                   cause="forward_recovery")
+        self._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index)
+
+    def _account_checker_time(self, checker: Process) -> None:
+        """Add a checker's work to the run's checker-time totals."""
+        self.stats.checker_user_time += checker.user_time
+        self.stats.checker_sys_time += checker.sys_time
+        self.stats.checker_cycles_big += checker.cycles_big
+        self.stats.checker_cycles_little += checker.cycles_little
 
     def _retire_segment(self, segment: Segment) -> None:
         if segment.retired:
@@ -1570,10 +1562,7 @@ class Parallaft(Tracer):
             checker = replica.process
             if checker is None:
                 continue
-            self.stats.checker_user_time += checker.user_time
-            self.stats.checker_sys_time += checker.sys_time
-            self.stats.checker_cycles_big += checker.cycles_big
-            self.stats.checker_cycles_little += checker.cycles_little
+            self._account_checker_time(checker)
             if checker.alive:
                 self.kernel.exit_process(checker, 0)
             self.kernel.reap(checker)

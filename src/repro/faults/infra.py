@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign import CampaignEngine, CampaignTask, DISP_COMPLETED, \
     task_rng
-from repro.common.rng import RngPool
 from repro.core import Parallaft, ParallaftConfig
 from repro.core.segment import Segment, SegmentStatus
 from repro.faults.drawing import draw_until_fired
@@ -349,7 +348,6 @@ class InfraInjector:
         self.seed = seed
         self.quantum = quantum
         self.hardening = hardening
-        self.rng = RngPool(seed).stream("infra-campaign")
         self._profile_main_instructions: Optional[List[int]] = None
         self._profile_stdout: Optional[str] = None
         self._profile_stderr: Optional[str] = None
@@ -417,8 +415,7 @@ class InfraInjector:
     # -- campaign ----------------------------------------------------------
 
     def _draw_site(self, kind: str, eligible: List[int],
-                   rng=None) -> InfraFaultSite:
-        rng = rng if rng is not None else self.rng
+                   rng) -> InfraFaultSite:
         return InfraFaultSite(
             kind=kind,
             segment_index=rng.choice(eligible),
@@ -438,8 +435,6 @@ class InfraInjector:
                      campaign_seed: Optional[int] = None,
                      journal_path: Optional[str] = None,
                      resume: bool = False,
-                     registry=None,
-                     engine_options: Optional[Dict] = None,
                      ) -> Dict[str, CampaignResult]:
         """Per kind: ``injections_per_kind`` injections at drawn sites,
         each retried up to ``max_attempts_per_injection`` times before
@@ -468,7 +463,7 @@ class InfraInjector:
             rng = task_rng(task.seed)
             kind = task.payload["kind"]
             result = draw_until_fired(
-                lambda: self._draw_site(kind, eligible, rng=rng),
+                lambda: self._draw_site(kind, eligible, rng),
                 self.inject_site, max_attempts_per_injection)
             if result is None:
                 return {"kind": kind, "missed": True}
@@ -483,9 +478,7 @@ class InfraInjector:
             fingerprint_extra={"kinds": list(kinds),
                                "injections_per_kind": injections_per_kind,
                                "hardening": self.hardening},
-            journal_path=journal_path, resume=resume,
-            registry=registry,
-            **(engine_options or {}))
+            journal_path=journal_path, resume=resume)
         fleet = engine.run()
 
         results: Dict[str, CampaignResult] = {

@@ -27,9 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign import CampaignEngine, CampaignTask, DISP_COMPLETED, \
     task_rng
-from repro.common.rng import RngPool
 from repro.core import Parallaft, ParallaftConfig
-from repro.core.stats import RunStats
 from repro.faults.drawing import draw_until_fired
 from repro.faults.outcomes import (
     CampaignResult,
@@ -63,10 +61,6 @@ class FaultInjector:
         self.files = files or {}
         self.seed = seed
         self.quantum = quantum
-        # Campaign draws come from the substrate's named-stream scheme, so
-        # the campaign seed composes with kernel/ASLR/skid seeding instead
-        # of using an ad-hoc generator.
-        self.rng = RngPool(seed).stream("fault-campaign")
         self._sites = all_fault_sites()
         self._profile_times: Optional[List[float]] = None
         self._profile_main_instructions: Optional[List[int]] = None
@@ -104,15 +98,6 @@ class FaultInjector:
         return times, stats.stdout
 
     # -- single injection ----------------------------------------------------
-
-    def inject_once(self, segment_index: int, inject_time: float,
-                    site: Tuple[str, int, int],
-                    reference_output: str) -> Optional[InjectionResult]:
-        """Legacy entry point: flip one register bit in one checker at
-        ``inject_time`` seconds of its execution (the paper's campaign)."""
-        return self.inject_site(segment_index, inject_time,
-                                FaultSite.from_legacy(site),
-                                reference_output)
 
     def inject_site(self, segment_index: int, when: float, site: FaultSite,
                     reference_output: str) -> Optional[InjectionResult]:
@@ -169,7 +154,7 @@ class FaultInjector:
         # no profile ran, e.g. direct inject_site calls with an external
         # reference).
         reference_stderr = self._profile_stderr
-        outcome = self._classify(stats, reference_output, reference_stderr)
+        outcome = classify_run(stats, reference_output, reference_stderr)
         return InjectionResult(
             outcome=outcome,
             register_file=(site.register_file
@@ -185,20 +170,10 @@ class FaultInjector:
                             and (reference_stderr is None
                                  or stats.stderr == reference_stderr)))
 
-    @staticmethod
-    def _classify(stats: RunStats, reference_output: str,
-                  reference_stderr: Optional[str] = None) -> Outcome:
-        """Delegates to :func:`repro.faults.outcomes.classify_run`; in
-        particular, output divergence with no reported error is an SDC
-        escape, *not* a detection (it used to be misfiled as DETECTED,
-        silently inflating ``detected_fraction``)."""
-        return classify_run(stats, reference_output, reference_stderr)
-
     # -- campaign ----------------------------------------------------------------
 
     def _draw_site(self, target: str, site_kinds: Tuple[str, ...],
-                   rng=None) -> FaultSite:
-        rng = rng if rng is not None else self.rng
+                   rng) -> FaultSite:
         kind = site_kinds[0] if len(site_kinds) == 1 \
             else rng.choice(list(site_kinds))
         if kind == KIND_MEMORY:
@@ -218,10 +193,7 @@ class FaultInjector:
                      shards: int = 1, workers: int = 0,
                      campaign_seed: Optional[int] = None,
                      journal_path: Optional[str] = None,
-                     resume: bool = False,
-                     registry=None,
-                     engine_options: Optional[Dict] = None
-                     ) -> CampaignResult:
+                     resume: bool = False) -> CampaignResult:
         """The paper's campaign, generalized: per segment,
         ``injections_per_segment`` injections into ``target`` at uniform
         points, drawing each site from ``site_kinds``.
@@ -266,7 +238,7 @@ class FaultInjector:
             rng = task_rng(task.seed)
 
             def draw() -> Tuple[FaultSite, float]:
-                site = self._draw_site(target, site_kinds, rng=rng)
+                site = self._draw_site(target, site_kinds, rng)
                 if target == TARGET_MAIN:
                     # Stay clear of the boundary so the flip lands
                     # inside the recorded segment despite counter
@@ -296,9 +268,7 @@ class FaultInjector:
             fingerprint_extra={"target": target, "site_kinds": site_kinds,
                                "injections_per_segment":
                                    injections_per_segment},
-            journal_path=journal_path, resume=resume,
-            registry=registry,
-            **(engine_options or {}))
+            journal_path=journal_path, resume=resume)
         fleet = engine.run()
 
         campaign = CampaignResult(benchmark=benchmark_name)

@@ -22,7 +22,7 @@ retries at the next quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.isa.registers import RegisterSite
 
@@ -64,13 +64,6 @@ class FaultSite:
                target: str = TARGET_CHECKER) -> "FaultSite":
         return cls(target=target, kind=KIND_MEMORY, page_rank=page_rank,
                    bit=bit)
-
-    @classmethod
-    def from_legacy(cls, site: Tuple[str, int, int],
-                    target: str = TARGET_CHECKER) -> "FaultSite":
-        """Adapt the historical ``(file, index, bit)`` tuple form."""
-        file, index, bit = site
-        return cls.register(file, index, bit, target=target)
 
     # -- application -------------------------------------------------------
 

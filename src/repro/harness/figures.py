@@ -28,10 +28,11 @@ from repro.harness.runner import (
     energy_overhead_pct,
     overhead_pct,
     run_baseline,
+    run_native,
     run_protected,
 )
 from repro.minic import compile_source
-from repro.sim import PlatformConfig, apple_m2, intel_14700, platform_by_name
+from repro.sim import apple_m2, platform_by_name
 from repro.workloads import SENSITIVITY_TRIO, all_benchmarks, benchmark
 
 DEFAULT_PERIOD = 5 * BILLION
@@ -317,9 +318,6 @@ def run_syscall_signal_stress(platform_name: str = "apple_m2",
     costs dominate loop time the way they do in reality.  Paper: getpid
     124.5x, 1 MB /dev/zero reads 18.5x, SIGUSR1 with empty handler 39.8x.
     """
-    from repro.kernel import Kernel
-    from repro.sim import Executor
-
     results: Dict[str, StressResult] = {}
     cases = {
         "getpid": _GETPID_STRESS % {"iters": iters * 4},
@@ -345,12 +343,7 @@ def run_syscall_signal_stress(platform_name: str = "apple_m2",
                                     platform=platform)
                 stats = runtime.run()
                 return stats.main_wall_time
-            kernel = Kernel(page_size=platform.page_size)
-            executor = Executor(kernel, platform)
-            proc = kernel.spawn(program)
-            executor.schedule_default(proc)
-            executor.run()
-            return (proc.exit_time or executor.wall_time()) - proc.spawn_time
+            return run_native(program, platform).wall_time
 
         results[name] = StressResult(name, timed(False), timed(True))
     return results

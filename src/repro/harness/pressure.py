@@ -25,9 +25,9 @@ from repro.campaign import CampaignEngine, CampaignTask, DISP_COMPLETED, \
 from repro.core import Parallaft, ParallaftConfig
 from repro.core.stats import RunStats
 from repro.faults import CampaignResult, FaultInjector
-from repro.kernel import Kernel
+from repro.harness.runner import run_native
 from repro.minic import compile_source
-from repro.sim import Executor, PlatformConfig, apple_m2
+from repro.sim import PlatformConfig, apple_m2
 from repro.trace.invariants import InvariantViolation, check_runtime
 from repro.workloads.registry import Benchmark
 
@@ -136,23 +136,6 @@ class PressureSweep:
                          for r in doc["runs"]])
 
 
-def _baseline_peak(bench: Benchmark, platform: PlatformConfig,
-                   scale: int, seed: int, quantum: int) -> int:
-    """Unprotected run: the pool high-water mark is the workload's own
-    footprint (image + working set), the floor any budget must clear."""
-    kernel = Kernel(page_size=platform.page_size, seed=seed)
-    executor = Executor(kernel, platform, quantum=quantum)
-    source, files = bench.build(scale, seed)
-    for path, data in files.items():
-        kernel.vfs.register(path, data)
-    proc = kernel.spawn(compile_source(source, name=bench.name))
-    executor.schedule_default(proc)
-    executor.run()
-    if proc.exit_code != 0:
-        raise RuntimeError(f"{bench.name} baseline exited {proc.exit_code}")
-    return kernel.pool.peak_resident_bytes
-
-
 def _protected_run(bench: Benchmark, config: ParallaftConfig,
                    platform: PlatformConfig, scale: int, seed: int,
                    quantum: int) -> Tuple[RunStats, List[InvariantViolation]]:
@@ -203,7 +186,12 @@ def run_pressure_sweep(bench: Benchmark,
     from repro.modes import get_mode
     detection = get_mode(mode)
     platform = platform or apple_m2()
-    base = _baseline_peak(bench, platform, scale, seed, quantum)
+    # The unprotected run's pool high-water mark is the workload's own
+    # footprint (image + working set), the floor any budget must clear.
+    source, files = bench.build(scale, seed)
+    base = run_native(compile_source(source, name=bench.name), platform,
+                      files, seed=seed, quantum=quantum
+                      ).kernel.pool.peak_resident_bytes
 
     unbounded, violations = _protected_run(
         bench, detection.make_config(mem_budget_bytes=None), platform,
@@ -268,8 +256,6 @@ def run_pressure_campaign(benchmarks: Sequence[Benchmark],
                           shards: int = 1, workers: int = 0,
                           journal_path: Optional[str] = None,
                           resume: bool = False,
-                          registry=None,
-                          engine_options: Optional[Dict] = None,
                           mode: str = "parallaft",
                           ) -> Dict[str, PressureSweep]:
     """Sweep every workload; returns ``{benchmark: PressureSweep}``.
@@ -307,8 +293,7 @@ def run_pressure_campaign(benchmarks: Sequence[Benchmark],
                                injections_per_segment,
                            "benchmarks": sorted(by_name),
                            "mode": mode},
-        journal_path=journal_path, resume=resume, registry=registry,
-        **(engine_options or {}))
+        journal_path=journal_path, resume=resume)
     fleet = engine.run()
 
     by_id = {t.task_id: t for t in engine.tasks}

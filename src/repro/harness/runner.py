@@ -18,7 +18,9 @@ from typing import Callable, Dict, List, Optional
 from repro.common.units import geomean_overhead_pct
 from repro.core import Parallaft, ParallaftConfig
 from repro.core.stats import RunStats
+from repro.isa.program import Program
 from repro.kernel import Kernel
+from repro.kernel.process import Process
 from repro.metrics import MetricRegistry, PhaseProfile
 from repro.sim import Executor, PlatformConfig, apple_m2
 from repro.workloads.registry import Benchmark
@@ -94,39 +96,64 @@ class BenchmarkResult:
         return merged
 
 
+@dataclass
+class NativeRun:
+    """One unprotected program run: its kernel, the exited process and
+    the measurements taken over it."""
+
+    kernel: Kernel
+    proc: Process
+    wall_time: float
+    energy_joules: float
+    pss_samples: List[float]
+
+
+def run_native(program: Program, platform: PlatformConfig,
+               files: Optional[Dict[str, bytes]] = None, seed: int = 0,
+               quantum: int = 2000, sample_memory: bool = False) -> NativeRun:
+    """Run ``program`` alone on a fresh kernel (one ``Kernel`` per call),
+    with no runtime attached; raises if it exits non-zero.  Every
+    baseline — overhead, memory floor, stress — is measured here."""
+    kernel = Kernel(page_size=platform.page_size, seed=seed)
+    executor = Executor(kernel, platform, quantum=quantum)
+    for path, data in (files or {}).items():
+        kernel.vfs.register(path, data)
+    proc = kernel.spawn(program)
+    executor.schedule_default(proc)
+    pss: List[float] = []
+    if sample_memory:
+        executor.add_sampler(
+            0.5, lambda _t: pss.append(
+                proc.mem.pss_bytes() if proc.alive else 0.0))
+    executor.run()
+    if proc.exit_code != 0:
+        raise RuntimeError(
+            f"{program.name} (seed {seed}) exited with {proc.exit_code}")
+    wall = (proc.exit_time or executor.wall_time()) - proc.spawn_time
+    return NativeRun(kernel, proc, wall,
+                     executor.total_energy_joules(wall=wall), pss)
+
+
 def run_baseline(bench: Benchmark, platform: Optional[PlatformConfig] = None,
                  scale: int = 1, seed_base: int = 0, quantum: int = 2000,
                  sample_memory: bool = False) -> BenchmarkResult:
     """Run a benchmark natively (no runtime) and collect measurements."""
+    from repro.minic import compile_source
     platform = platform or apple_m2()
     result = BenchmarkResult(bench.name, "baseline")
     for seed in bench.input_seeds():
-        kernel = Kernel(page_size=platform.page_size, seed=seed_base + seed)
-        executor = Executor(kernel, platform, quantum=quantum)
         source, files = bench.build(scale, seed)
-        for path, data in files.items():
-            kernel.vfs.register(path, data)
-        from repro.minic import compile_source
-        proc = kernel.spawn(compile_source(source, name=bench.name))
-        executor.schedule_default(proc)
-        pss: List[float] = []
-        if sample_memory:
-            executor.add_sampler(
-                0.5, lambda _t, p=proc: pss.append(
-                    p.mem.pss_bytes() if p.alive else 0.0))
-        executor.run()
-        if proc.exit_code != 0:
-            raise RuntimeError(
-                f"{bench.name} seed {seed} exited with {proc.exit_code}")
-        wall = (proc.exit_time or executor.wall_time()) - proc.spawn_time
+        run = run_native(compile_source(source, name=bench.name), platform,
+                         files, seed=seed_base + seed, quantum=quantum,
+                         sample_memory=sample_memory)
         result.inputs.append(InputResult(
-            wall_time=wall,
-            main_wall_time=wall,
-            user_time=proc.user_time,
-            sys_time=proc.sys_time,
-            energy_joules=executor.total_energy_joules(wall=wall),
-            pss_samples=pss,
-            stdout=kernel.console.text(),
+            wall_time=run.wall_time,
+            main_wall_time=run.wall_time,
+            user_time=run.proc.user_time,
+            sys_time=run.proc.sys_time,
+            energy_joules=run.energy_joules,
+            pss_samples=run.pss_samples,
+            stdout=run.kernel.console.text(),
         ))
     return result
 

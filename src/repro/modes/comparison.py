@@ -35,7 +35,7 @@ from repro.faults.outcomes import Outcome, classify_run
 from repro.faults.sites import FaultSite, TARGET_MAIN
 from repro.isa.registers import all_fault_sites
 from repro.modes.base import get_mode
-from repro.sim.platform import PlatformConfig, apple_m2
+from repro.sim.platform import apple_m2
 from repro.trace import events as tev
 
 #: Trace events that mark the moment a fault stopped being silent.
@@ -152,22 +152,6 @@ def plan_faults(count: int, seed: int = 0,
     return plan
 
 
-def _baseline_wall(program, platform: PlatformConfig, files, seed: int,
-                   quantum: int) -> float:
-    from repro.kernel import Kernel
-    from repro.sim import Executor
-    kernel = Kernel(page_size=platform.page_size, seed=seed)
-    executor = Executor(kernel, platform, quantum=quantum)
-    for path, data in files.items():
-        kernel.vfs.register(path, data)
-    proc = kernel.spawn(program)
-    executor.schedule_default(proc)
-    executor.run()
-    if proc.exit_code != 0:
-        raise RuntimeError(f"baseline exited {proc.exit_code}")
-    return (proc.exit_time or executor.wall_time()) - proc.spawn_time
-
-
 def _first_detection_ts(runtime, fired_ts: float) -> Optional[float]:
     for event in runtime.trace:
         if event.kind in _DETECTION_EVENTS and event.ts >= fired_ts:
@@ -192,8 +176,9 @@ def run_mode_comparison(program, modes: Sequence[str] = ("parallaft",
     """
     files = files or {}
     plan = plan_faults(injections, seed=seed)
-    baseline = _baseline_wall(program, platform_factory(), files, seed,
-                              quantum)
+    from repro.harness.runner import run_native
+    baseline = run_native(program, platform_factory(), files, seed=seed,
+                          quantum=quantum).wall_time
     summaries: Dict[str, ModeRunSummary] = {}
 
     for mode_name in modes:

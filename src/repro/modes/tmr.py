@@ -94,12 +94,47 @@ class TmrMode(DetectionMode):
                     f"main outvoted but the forward-recovery budget "
                     f"({config.max_forward_recoveries}) is spent")
                 return
-            rt._forward_recover(segment, vote)
+            self._forward_recover(rt, segment, vote)
             return
         rt._report_error(
             "vote_inconclusive", segment,
             "all three states disagree at the segment boundary — no "
             "majority exists to adopt")
+
+    def _forward_recover(self, rt, segment, vote) -> None:
+        """The main was outvoted: adopt the majority state and continue
+        *forward* from the boundary (never a rollback).
+
+        The winning replica replayed the segment from the verified start
+        state, so its state at the end point *is* the majority state: it
+        simply becomes the new main through the runtime's rewind path.
+        Every segment recorded after the boundary descends from the
+        faulted main and is discarded with its output, verified or not;
+        the boundary itself — and every byte of output committed before
+        it — survives, which is what distinguishes forward recovery from
+        a rollback.
+        """
+        winner = segment.replicas[vote.winner_index]
+        new_main = winner.process
+        # Detach the winner from its checker identity.  Its replay work
+        # stays accounted as checker work; from here on its cycles are
+        # the main's.
+        segment.replicas.remove(winner)
+        rt.segment_of_checker.pop(new_main.pid, None)
+        rt._stalled_checkers.discard(new_main.pid)
+        rt._account_checker_time(new_main)
+        winner.replayer = None
+        new_main.cpu.disarm_branch_overflow()
+        new_main.cpu.disarm_instr_overflow()
+        rt.stats.tmr_forward_recoveries += 1
+        rt._emit(tev.FORWARD_RECOVERY, proc=new_main, segment=segment.index,
+                 winner_pid=new_main.pid)
+        # The boundary itself is majority-verified.  A winner voted at the
+        # final segment sits on the exit syscall's execution point and
+        # exits natively with the majority state.
+        rt._rewind(segment.index + 1, new_main, rt.kernel.promote_process,
+                   lambda: rt._segment_verified(segment),
+                   at_exit=segment.end_is_main)
 
     def absorb_replica_error(self, rt, segment, replica, kind: str,
                              detail: str) -> bool:

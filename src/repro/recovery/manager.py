@@ -18,7 +18,9 @@ in the main process, using machinery the substrate already pays for:
   the fork already holds the state, restoring is unpausing it), console
   output produced by the discarded execution is truncated — the console
   models a commit-on-verify buffer at the sphere-of-replication boundary —
-  and execution resumes from the verified state.
+  and execution resumes from the verified state.  The discard-and-install
+  mechanics are the runtime's one rewind path (``Parallaft._rewind``,
+  shared with TMR forward recovery); this module owns only the policy.
 
 Escalation keeps recovery bounded:
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.segment import Segment, SegmentStatus
+from repro.core.segment import Segment
 from repro.kernel.process import Process, ProcessState
 from repro.metrics import phases as mph
 from repro.trace import events as tev
@@ -138,9 +140,9 @@ class RecoveryManager:
 
     def _rollback(self, segment: Segment) -> None:
         """Discard the timeline from ``segment``'s start onward and resume
-        the main from the retained segment-start checkpoint."""
+        the main from the retained segment-start checkpoint (the runtime's
+        one rewind path; this method owns only the rollback policy)."""
         rt = self.rt
-        kernel = rt.kernel
         old_main = rt.main
         self.rollbacks += 1
         self.rollback_streak += 1
@@ -148,121 +150,30 @@ class RecoveryManager:
         rt._emit(tev.ROLLBACK, proc=old_main, segment=segment.index,
                  rollbacks=self.rollbacks, streak=self.rollback_streak)
 
-        # Everything the main executed past the verified boundary is lost.
+        # Everything the main and the discarded checkers executed past
+        # the verified boundary is lost.
         wasted = max(0.0, old_main.user_cycles - segment.start_cycles)
-        old_core = old_main.core
-
-        for other in rt.segments:
-            if other.index < segment.index:
-                continue
-            if other.status == SegmentStatus.ROLLED_BACK:
-                continue
-            wasted += self._discard(other, promote=(other is segment))
-        self._last_rollback_index = len(rt.segments) - 1
+        for other in rt._rewound_segments(segment.index):
+            if other.checker is not None:
+                wasted += other.checker.user_cycles
         self.stats.recovery_wasted_cycles += wasted
-
-        # Roll output back: nothing the discarded execution printed may
-        # escape the sphere of replication.
-        kernel.console.truncate(segment.console_mark)
-        kernel.stderr_console.truncate(segment.stderr_mark)
-        rt._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
-                 stream="stdout", length=segment.console_mark)
-        rt._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
-                 stream="stderr", length=segment.stderr_mark)
-
-        # Replace the corrupted main with the verified checkpoint.
+        self._last_rollback_index = len(rt.segments) - 1
         new_main = segment.recovery_checkpoint
-        segment.recovery_checkpoint = None
-        rt.roles.pop(old_main.pid, None)
-        spawn_time = old_main.spawn_time
-        kernel.rollback_to_checkpoint(old_main, new_main)
-        rt.executor.unassign(old_main)
-        new_main.spawn_time = spawn_time  # wall time spans the whole run
-        rt.main = new_main
-        rt.roles[new_main.pid] = "main"
 
-        core = old_core if old_core is not None \
-            and old_core.occupant is None else None
-        if core is None:
-            core = (rt.executor.free_core("big")
-                    or rt.executor.free_core("little"))
-        rt.executor.assign(new_main, core)
-        new_main.ready_time = max(new_main.ready_time,
-                                  rt.executor.current_time)
-        # Restoring costs what materializing the checkpoint's COW fork
-        # costs (rr-style restore is an unpause plus page-table work).
-        rt.executor.charge(
-            new_main, kernel.costs.fork_cycles(new_main.mem.mapped_pages),
-            phase=mph.RECOVERY_ROLLBACK)
+        def restored() -> None:
+            # Restoring costs what materializing the checkpoint's COW fork
+            # costs (rr-style restore is an unpause plus page-table work).
+            rt.executor.charge(
+                new_main,
+                rt.kernel.costs.fork_cycles(new_main.mem.mapped_pages),
+                phase=mph.RECOVERY_ROLLBACK)
+            # Arm the watchdog: the re-execution must reach the next
+            # boundary within a multiple of the work the original
+            # recording needed.
+            self._watchdog_base = rt._instr_reading(new_main)
+            self._watchdog_budget = (
+                int(max(segment.main_instructions, 1024)
+                    * self.config.recovery_watchdog_scale) + 1024)
 
-        # Reset coordinator state that referred to the discarded timeline.
-        rt.current = None
-        rt._pending_syscall = None
-        rt._pending_mmap_split = False
-        rt._main_stalled_on_cap = False
-        rt._main_stalled_for_containment = False
-        rt._main_stalled_on_pressure = False
-        rt.sched.main_done = False
-        if rt.pressure is not None:
-            rt.pressure.on_rollback()
-
-        # Arm the watchdog: the re-execution must reach the next boundary
-        # within a multiple of the work the original recording needed.
-        self._watchdog_base = rt._instr_reading(new_main)
-        self._watchdog_budget = (
-            int(max(segment.main_instructions, 1024)
-                * self.config.recovery_watchdog_scale) + 1024)
-
-        # Freed cores may unblock queued checkers of earlier segments.
-        sched = rt.sched
-        while sched.pending and sched._try_place(sched.pending[0]):
-            sched.pending.pop(0)
-
-        rt._start_segment()
-
-    def _discard(self, segment: Segment, promote: bool) -> float:
-        """Tear one discarded segment down; returns its wasted cycles.
-
-        ``promote`` keeps the segment's recovery checkpoint alive — it
-        becomes the new main.  Safe on already-retired (CHECKED) segments:
-        their verification certified a timeline that no longer exists, so
-        only their status flips (resources were already reaped).
-        """
-        rt = self.rt
-        kernel = rt.kernel
-        sched = rt.sched
-        wasted = 0.0
-        if segment in sched.pending:
-            sched.pending.remove(segment)
-        if segment in sched.running:
-            sched.running.remove(segment)
-
-        checker = segment.checker
-        if checker is not None:
-            wasted += checker.user_cycles
-            rt.segment_of_checker.pop(checker.pid, None)
-            rt.roles.pop(checker.pid, None)
-            rt._stalled_checkers.discard(checker.pid)
-            # Detach before killing so exit/ptrace hooks never fire for a
-            # process we are deliberately discarding.
-            checker.tracer = None
-            if checker.alive:
-                kernel.exit_process(checker, 1)
-            rt.executor.unassign(checker)
-            kernel.reap(checker)
-            segment.checker = None
-
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            rt.roles.pop(segment.end_checkpoint.pid, None)
-            kernel.reap(segment.end_checkpoint)
-        segment.end_checkpoint = None
-
-        if segment.recovery_checkpoint is not None and not promote:
-            rt.roles.pop(segment.recovery_checkpoint.pid, None)
-            kernel.reap(segment.recovery_checkpoint)
-            segment.recovery_checkpoint = None
-
-        segment.replayer = None
-        segment.status = SegmentStatus.ROLLED_BACK
-        rt._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index)
-        return wasted
+        rt._rewind(segment.index, new_main, rt.kernel.rollback_to_checkpoint,
+                   restored)

@@ -17,7 +17,8 @@ Segment lifecycle (emitted by the coordinator):
 * ``segment_release``    — the checker's replay is armed and submitted
 * ``segment_checked``    — comparison succeeded (terminal)
 * ``segment_failed``     — an error was pinned on the segment (terminal)
-* ``segment_rolled_back``— discarded by recovery (terminal)
+* ``segment_rolled_back``— discarded by a rollback or forward recovery
+  (terminal)
 * ``segment_retire``     — resources reaped, scheduler notified
 
 Processes (emitted by the kernel):
@@ -54,7 +55,7 @@ Output commit and recovery:
 
 * ``console_write``    — bytes reached a console (payload ``stream``,
   ``start``/``end`` buffer marks)
-* ``console_truncate`` — rollback discarded output past a mark
+* ``console_truncate`` — a rewind discarded output past a mark
 * ``rollback``         — the main was rolled back to a verified checkpoint
 * ``app_terminate``    — stop-on-error tore the application down
 

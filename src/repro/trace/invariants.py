@@ -18,9 +18,11 @@ the paper's correctness argument depends on:
 (d) **segment completion** — every segment that became READY reaches a
     terminal state (CHECKED/FAILED/ROLLED_BACK) unless the application
     was deliberately torn down.
-(e) **output commit** — under recovery, console bytes attributed to a
-    segment that is later rolled back must be truncated away again
-    (output never outlives its segment's verification).
+(e) **output commit** — in a run with recovery on, or one that rewound
+    its timeline (a ``rollback`` or ``forward_recovery`` event), console
+    bytes attributed to a segment that is later rolled back must be
+    truncated away again (output never outlives its segment's
+    verification).
 (f) **integrity** — no ``rollback`` event ever follows an
     ``integrity_fail`` event: once an integrity check failed, every
     retained checkpoint is untrusted and promoting one would launder the
@@ -56,16 +58,21 @@ the paper's correctness argument depends on:
     a ``rollback`` event anywhere after a ``forward_recovery`` event
     breaks it (committed output would be re-executed).  Checked
     unconditionally, like (f).
+(m) **rewind** — a ``rollback`` or ``forward_recovery`` at segment *k*
+    replaces the main's timeline past *k*, so every later segment that
+    started before it must end ``segment_rolled_back``; a verified one
+    left standing would commit output from the discarded timeline.
 
 Pairing-based invariants (b)–(d), the order-sensitive pressure
-invariants (g)–(h) and the end-of-trace half of (k) are skipped when the
-ring buffer dropped events, since a dropped stall/assign/stage/error
-event would produce false positives.
+invariants (g)–(h), the end-of-trace half of (k) and (m) are skipped
+when the ring buffer dropped events, since a dropped
+stall/assign/stage/error/rolled-back event would produce false
+positives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .buffer import TraceBuffer
@@ -139,6 +146,7 @@ class InvariantChecker:
         self.violations = []
 
         live: Set[int] = set()
+        started: Set[int] = set()
         pending_stalls: Dict[int, TraceEvent] = {}
         occupancy: Dict[str, int] = {}
         ready: Set[int] = set()
@@ -152,6 +160,8 @@ class InvariantChecker:
         evicted_segments: Set[int] = set()
         pending_vote: Optional[TraceEvent] = None
         forward_recovered: Optional[TraceEvent] = None
+        #: (m): each rewind event with the later segments it must discard.
+        rewinds: List[Tuple[TraceEvent, Set[int]]] = []
 
         for event in events:
             kind = event.kind
@@ -233,9 +243,16 @@ class InvariantChecker:
                     f"{integrity_failed.segment}) — an untrusted "
                     f"checkpoint was promoted", event)
 
+            # -- (m) rewind ----------------------------------------------
+            if kind in (ROLLBACK, FORWARD_RECOVERY) \
+                    and event.segment is not None:
+                rewinds.append((event, {s for s in started
+                                        if s > event.segment}))
+
             # -- live-segment bookkeeping -------------------------------
             if kind == SEGMENT_START and event.segment is not None:
                 live.add(event.segment)
+                started.add(event.segment)
             elif kind in SEGMENT_TERMINAL and event.segment is not None:
                 live.discard(event.segment)
                 terminal.add(event.segment)
@@ -329,8 +346,18 @@ class InvariantChecker:
                     f"error or termination followed — an unverified "
                     f"segment was admitted", pending_vote)
 
+            # (m) a rewind left a later segment of the old timeline
+            for rewind, later in rewinds:
+                kept = sorted(later - rolled_back)
+                if kept:
+                    self._violate(
+                        "rewind",
+                        f"{rewind.kind} at segment {rewind.segment} left "
+                        f"later segments {kept} of the discarded timeline "
+                        f"without segment_rolled_back", rewind)
+
         # (e) rolled-back output must have been truncated
-        if self.recovery:
+        if self.recovery or rewinds:
             for write in writes:
                 seg = write.event.segment
                 if seg in rolled_back and not write.truncated:

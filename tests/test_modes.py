@@ -8,11 +8,14 @@ segment policy (replica count, boundary check, recovery) lives on its
 `DetectionMode` object.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigError, RuntimeConfigError
 from repro.core import Parallaft, ParallaftConfig, RuntimeMode
 from repro.core.comparator import StateComparator
+from repro.faults import FaultInjector
 from repro.faults.outcomes import Outcome, classify_run
 from repro.faults.sites import FaultSite
 from repro.minic import compile_source
@@ -33,6 +36,7 @@ from repro.trace.invariants import (
     check_runtime,
 )
 from repro.workloads import synthetic_source
+from repro.workloads.registry import benchmark
 
 SOURCE = """
 global data[512];
@@ -258,6 +262,69 @@ class TestTmrForwardRecovery:
         assert_runtime_ok(runtime)
 
 
+def bzip2_input1():
+    """bzip2's first input: its TMR main-register campaign holds
+    forward recoveries that land after a later segment verified."""
+    bench = dataclasses.replace(benchmark("bzip2"), n_inputs=1)
+    source, files = bench.build(1, 1)
+    return compile_source(source, name=bench.name), files
+
+
+class _CapturingInjector(FaultInjector):
+    """Keeps the runtime of the last injection run for trace checks."""
+
+    def _fresh_runtime(self):
+        self.last_runtime = super()._fresh_runtime()
+        return self.last_runtime
+
+
+class TestTmrRewind:
+    """Forward recovery rewinds the whole timeline past the voted
+    boundary, verified segments included: a later segment that verified
+    before the outvote must not commit its output a second time."""
+
+    def test_forward_recovery_discards_verified_later_segment(self):
+        program, files = bzip2_input1()
+        injector = _CapturingInjector(
+            program, config_factory=ParallaftConfig.tmr,
+            platform_factory=apple_m2, files=files, seed=1)
+        _, reference = injector.profile()
+        result = injector.inject_site(
+            0, 0.12393219971135315,
+            FaultSite.register("vec", 1, 161, target="main"), reference)
+        runtime = injector.last_runtime
+        stats = runtime.stats
+        assert stats.stdout == reference
+        assert result.outcome == Outcome.RECOVERED
+        assert stats.tmr_forward_recoveries == 1
+        events = list(runtime.trace)
+        at = next(i for i, e in enumerate(events)
+                  if e.kind == tev.FORWARD_RECOVERY)
+        assert events[at].segment == 0
+        # Segment 1 had already verified when segment 0's vote ran.
+        assert any(e.kind == tev.SEGMENT_CHECKED and e.segment == 1
+                   for e in events[:at])
+        after = events[at:]
+        assert any(e.kind == tev.SEGMENT_ROLLED_BACK and e.segment == 1
+                   for e in after)
+        started = {e.segment for e in after if e.kind == tev.SEGMENT_START}
+        checked = {e.segment for e in after if e.kind == tev.SEGMENT_CHECKED}
+        assert started & checked, "no fresh segment was started and checked"
+        assert_runtime_ok(runtime)
+
+    def test_main_register_campaign_has_no_sdc(self):
+        program, files = bzip2_input1()
+        injector = FaultInjector(
+            program, config_factory=ParallaftConfig.tmr,
+            platform_factory=apple_m2, files=files, seed=1)
+        campaign = injector.run_campaign(
+            injections_per_segment=4, benchmark_name="bzip2",
+            target="main", site_kinds=("register",))
+        assert campaign.injections
+        assert campaign.count(Outcome.SDC) == 0
+        assert not any(i.rolled_back for i in campaign.injections)
+
+
 class TestTmrOutvote:
     def test_replica_fault_outvoted_and_run_survives(self):
         reference = reference_stdout()
@@ -422,6 +489,45 @@ class TestNewInvariants:
         ]
         assert not any(v.invariant == "forward_recovery"
                        for v in InvariantChecker().check(events))
+
+
+    def _rewind_trace(self, kind, rolled_back):
+        events = [
+            self._event(tev.SEGMENT_START, segment=0),
+            self._event(tev.SEGMENT_START, segment=1),
+            self._event(tev.SEGMENT_CHECKED, segment=1),
+            self._event(kind, segment=0),
+        ]
+        events += [self._event(tev.SEGMENT_ROLLED_BACK, segment=index)
+                   for index in rolled_back]
+        return events
+
+    def test_rewind_leaving_verified_later_segment_violates(self):
+        violations = InvariantChecker().check(
+            self._rewind_trace(tev.FORWARD_RECOVERY, rolled_back=()))
+        assert [v.invariant for v in violations] == ["rewind"]
+
+    def test_rewind_discarding_later_segments_ok(self):
+        assert not InvariantChecker().check(
+            self._rewind_trace(tev.FORWARD_RECOVERY, rolled_back=(1,)))
+        assert not InvariantChecker().check(
+            self._rewind_trace(tev.ROLLBACK, rolled_back=(0, 1)))
+
+    def test_rollback_leaving_later_segment_violates(self):
+        violations = InvariantChecker().check(
+            self._rewind_trace(tev.ROLLBACK, rolled_back=(0,)))
+        assert [v.invariant for v in violations] == ["rewind"]
+
+    def test_output_commit_applies_to_forward_recovery(self):
+        events = [
+            self._event(tev.SEGMENT_START, segment=1),
+            self._event(tev.CONSOLE_WRITE, segment=1, stream="stdout",
+                        start=0, end=4),
+            self._event(tev.FORWARD_RECOVERY, segment=0),
+            self._event(tev.SEGMENT_ROLLED_BACK, segment=1),
+        ]
+        violations = InvariantChecker(recovery=False).check(events)
+        assert [v.invariant for v in violations] == ["output_commit"]
 
 
 class TestModeComparison:
